@@ -394,7 +394,7 @@ pub fn usage() -> &'static str {
      --no-area-phase          skip the area-recovery phase\n\
      --vectors N              BPFS vectors per round (default 512)\n\
      --seed N                 BPFS seed (default 1995)\n\
-     --threads N              BPFS worker threads (default 0 = all cores)\n\
+     --threads N              BPFS worker threads (default 0 = sized by the work)\n\
      --prover sat|bdd|miter   validity prover (default sat)\n\
      --engine LIST            engine pipeline, comma-separated: gdo, resub\n\
                               (default gdo; e.g. --engine gdo,resub)\n\

@@ -78,6 +78,27 @@ pub fn resolve_threads(threads: usize) -> usize {
     }
 }
 
+/// Simulated cell-words (one netlist cell times one 64-vector word,
+/// about 5 ns of observability work on a 2-vCPU x86 VM) each fan-out
+/// worker must have before another worker is started. On that host
+/// spawning and joining two scoped threads costs 0.3–0.4 ms per fan-out,
+/// and the serial prove stage after a threaded round ran 10–20% slower,
+/// so a threaded x3 or C1355 round (2–10 ms of work) lost to the serial
+/// one and varied more from run to run.
+const MIN_WORK_PER_WORKER: usize = 1 << 21;
+
+/// Workers for a fan-out of `work` simulated cell-words under the
+/// thread knob `threads`: an explicit count is taken literally; `0`
+/// starts one worker per [`MIN_WORK_PER_WORKER`] of work, at least one
+/// and at most one per available core.
+pub(crate) fn fanout_threads(threads: usize, work: usize) -> usize {
+    if threads == 0 {
+        resolve_threads(0).min(work / MIN_WORK_PER_WORKER).max(1)
+    } else {
+        threads
+    }
+}
+
 /// Records an engine's (or a merged fan-out's) observability tallies on
 /// the telemetry counters — once per round, outside the query hot path.
 fn record_obs_stats(stats: ObsStats) {
@@ -459,6 +480,18 @@ mod tests {
     use super::*;
     use netlist::GateKind;
     use sim::{simulate, VectorSet};
+
+    #[test]
+    fn auto_fanout_grows_with_work_up_to_the_cores() {
+        let cores = resolve_threads(0);
+        assert_eq!(fanout_threads(0, 0), 1);
+        assert_eq!(fanout_threads(0, 2 * MIN_WORK_PER_WORKER - 1), 1);
+        assert_eq!(fanout_threads(0, 2 * MIN_WORK_PER_WORKER), cores.min(2));
+        assert_eq!(fanout_threads(0, usize::MAX), cores);
+        // An explicit count is taken literally, however small the work.
+        assert_eq!(fanout_threads(3, 0), 3);
+        assert_eq!(fanout_threads(1, usize::MAX), 1);
+    }
 
     /// Exhaustive simulation makes BPFS survival equal to exact validity.
     fn exhaustive_round(nl: &Netlist, site: Site, bs: Vec<SignalId>) -> (SiteRound, SimResult) {

@@ -15,6 +15,7 @@
 
 use crate::budget::{Budget, Phase, VerifyPolicy};
 use crate::optimizer::{total_area, GdoConfig, GdoEngine, GdoStats, RegionConstraints};
+use crate::replay::WitnessPool;
 use crate::resub::ResubEngine;
 use crate::snapshot::{self, CheckpointSpec, Checkpointer, RunSnapshot, SnapshotError};
 use crate::{GdoError, Rewrite, RewriteKind};
@@ -218,6 +219,7 @@ pub struct OptimizeContext<'r, 'l> {
     pub(crate) net: &'r mut SafetyNet,
     pub(crate) seed: &'r mut u64,
     pub(crate) refuted: &'r mut HashSet<Rewrite>,
+    pub(crate) witnesses: &'r mut WitnessPool,
     pub(crate) enable_xor: bool,
     pub(crate) ckpt: &'r mut Checkpointer,
 }
@@ -392,6 +394,10 @@ impl<'a> Pipeline<'a> {
         // on the vector sample. Engines skip re-proving cached
         // refutations and clear the cache on every applied rewrite.
         let mut refuted: HashSet<Rewrite> = HashSet::new();
+        // SAT witnesses of this run, replayed by simulation before every
+        // clause proof. Replay only refutes where SAT would, so the pool
+        // never changes a decision and is not part of the snapshot.
+        let mut witnesses = WitnessPool::default();
         let mut quarantine_restore: Vec<RewriteClass> = Vec::new();
         if let Some(snap) = &req.resume_from {
             // Timing cross-check: the rebuilt graph must reproduce the
@@ -454,6 +460,7 @@ impl<'a> Pipeline<'a> {
                 net: &mut net,
                 seed: &mut seed_counter,
                 refuted: &mut refuted,
+                witnesses: &mut witnesses,
                 enable_xor,
                 ckpt: &mut ckpt,
             };

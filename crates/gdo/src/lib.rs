@@ -71,6 +71,7 @@ mod optimizer;
 mod prove;
 mod pvcc;
 mod redundancy;
+mod replay;
 mod report;
 mod resub;
 mod rewrite;
@@ -91,12 +92,15 @@ pub use error::GdoError;
 pub use optimizer::{
     optimize, GdoConfig, GdoConfigBuilder, GdoEngine, GdoStats, Optimizer, RegionConstraints,
 };
-pub use prove::{prove_rewrite, prove_rewrite_budgeted, prove_rewrite_with_budget, ProverKind};
+pub use prove::{
+    prove_rewrite, prove_rewrite_budgeted, prove_rewrite_with_budget, ProofOutcome, ProverKind,
+};
 pub use pvcc::{
     and_or_triple_requests, const_candidates, site_arrival, site_ncp, site_required,
     sub2_candidates, sub3_candidates, xor_triple_requests, Pvcc, RankKey,
 };
 pub use redundancy::remove_redundancies;
+pub use replay::WitnessPool;
 pub use report::OptimizeReport;
 pub use resub::ResubEngine;
 pub use rewrite::{Gate3, Rewrite, RewriteKind};

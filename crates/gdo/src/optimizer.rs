@@ -4,27 +4,27 @@
 //! non-critical logic without creating new critical paths, returning to
 //! the delay phase after every batch of area substitutions.
 
-use crate::bpfs::{run_c2_budgeted, run_c2_full_walk, run_c3_budgeted, SiteRound, TripleEntry};
+use crate::bpfs::{
+    fanout_threads, run_c2_budgeted, run_c2_full_walk, run_c3_budgeted, SiteRound, TripleEntry,
+};
 use crate::budget::{Budget, Phase, VerifyPolicy};
 use crate::candidates::{pair_candidates_counted, CandidateConfig, CandidateContext};
 use crate::engine::{
     rewrite_class, Engine, EngineCounters, EngineId, OptimizeContext, OptimizeRequest, Pipeline,
-    SafetyNet,
 };
-use crate::prove::prove_rewrite_with_budget;
+use crate::prove::{prove_rewrite_replayed, ProofOutcome};
 use crate::pvcc::{
     and_or_triple_requests, const_candidates, site_arrival, site_ncp, site_required,
     sub2_candidates, sub3_candidates, xor_triple_requests, Pvcc, RankKey,
 };
-use crate::snapshot::Checkpointer;
+use crate::replay::WitnessPool;
 use crate::transform::{apply_rewrite, estimate_area_delta, estimate_arrival};
 use crate::{GdoError, ProverKind, Rewrite, RewriteKind, Site};
 use library::Library;
 use netlist::{Branch, Netlist, SignalId};
 use sim::{simulate, VectorSet};
-use std::collections::HashSet;
 use std::time::Duration;
-use timing::{CriticalPaths, DelayModel, LibDelay, TimingGraph};
+use timing::{CriticalPaths, DelayModel, TimingGraph};
 
 /// Configuration of the optimizer. [`GdoConfig::default`] reproduces the
 /// paper's setup; the ablation benchmarks toggle individual features.
@@ -67,10 +67,12 @@ pub struct GdoConfig {
     pub max_delay_rounds: usize,
     /// Safety bound on outer delay/area alternations.
     pub max_outer_rounds: usize,
-    /// Worker threads for the BPFS fan-out (`0` = one per available
-    /// core). Per-site clause invalidation is independent work, and
-    /// results are merged in site order, so any thread count produces
-    /// bit-identical survival masks.
+    /// Worker threads for the BPFS fan-out (`0` = sized by each round's
+    /// work: one worker per about 2M simulated cell-words, at most one
+    /// per available core, so small netlists run serially). Per-site
+    /// clause invalidation is independent work, and results are merged
+    /// in site order, so any thread count produces bit-identical
+    /// survival masks.
     pub threads: usize,
     /// Re-enables the original evaluation paths — full-topological-walk
     /// observability (serial, ignoring [`threads`](Self::threads)) and
@@ -197,7 +199,7 @@ impl GdoConfigBuilder {
         max_delay_rounds: usize,
         /// Bound on outer delay/area alternations (must be positive).
         max_outer_rounds: usize,
-        /// Worker threads for the BPFS fan-out (`0` = one per core).
+        /// Worker threads for the BPFS fan-out (`0` = sized by the work).
         threads: usize,
         /// Re-enable the original full-recompute evaluation paths.
         legacy_eval: bool,
@@ -428,7 +430,9 @@ impl<'a> Optimizer<'a> {
     }
 
     /// The configured C2 engine: threaded cone-local by default, the
-    /// serial full-walk baseline under [`GdoConfig::legacy_eval`].
+    /// serial full-walk baseline under [`GdoConfig::legacy_eval`]. Each
+    /// site resimulates at most the whole netlist, which sizes the
+    /// fan-out.
     fn run_c2(
         &self,
         nl: &Netlist,
@@ -439,8 +443,47 @@ impl<'a> Optimizer<'a> {
         if self.cfg.legacy_eval {
             run_c2_full_walk(nl, sim, sites)
         } else {
-            run_c2_budgeted(nl, sim, sites, self.cfg.threads, Some(budget))
+            let work = sites.len() * nl.capacity() * sim.n_words();
+            let threads = fanout_threads(self.cfg.threads, work);
+            run_c2_budgeted(nl, sim, sites, threads, Some(budget))
         }
+    }
+
+    /// The C3 invalidation of `requests` against `rounds`, each triple
+    /// checked once per simulation word.
+    fn run_c3(
+        &self,
+        nl: &Netlist,
+        sim: &sim::SimResult,
+        rounds: &mut [SiteRound],
+        requests: Vec<Vec<TripleEntry>>,
+        budget: &Budget,
+    ) {
+        let n_triples: usize = requests.iter().map(Vec::len).sum();
+        telemetry::counter_add("gdo.funnel.c3.enumerated", n_triples as u64);
+        telemetry::counter_add("gdo.funnel.c3.filtered", n_triples as u64);
+        let threads = fanout_threads(self.cfg.threads, n_triples * sim.n_words());
+        run_c3_budgeted(nl, sim, rounds, requests, threads, Some(budget));
+    }
+
+    /// Proves `rw` with the configured prover under the run budget,
+    /// replaying `pool`'s SAT witnesses first when one is given.
+    fn prove(
+        &self,
+        nl: &Netlist,
+        rw: &Rewrite,
+        budget: &Budget,
+        pool: Option<&mut WitnessPool>,
+    ) -> Result<ProofOutcome, GdoError> {
+        prove_rewrite_replayed(
+            nl,
+            self.lib,
+            rw,
+            self.cfg.prover,
+            self.cfg.conflict_budget,
+            Some(budget),
+            pool,
+        )
     }
 
     /// Optimizes `nl` in place and reports what happened.
@@ -513,37 +556,19 @@ impl<'a> Optimizer<'a> {
 
     /// Delay reduction phase: C2 rounds until dry, then C3 rounds, until
     /// neither improves anything.
-    #[allow(clippy::too_many_arguments)]
-    #[allow(clippy::too_many_arguments)]
-    fn delay_phase(
-        &self,
-        nl: &mut Netlist,
-        tg: &mut TimingGraph,
-        model: &LibDelay<'_>,
-        enable_xor: bool,
-        stats: &mut GdoStats,
-        seed: &mut u64,
-        refuted: &mut HashSet<Rewrite>,
-        budget: &Budget,
-        net: &mut SafetyNet,
-        ckpt: &mut Checkpointer,
-    ) -> Result<usize, GdoError> {
+    fn delay_phase(&self, ctx: &mut OptimizeContext<'_, '_>) -> Result<usize, GdoError> {
         let mut total = 0;
         for _ in 0..self.cfg.max_delay_rounds {
-            if budget.is_exhausted() {
+            if ctx.budget.is_exhausted() {
                 break;
             }
-            let n2 = self.delay_round(
-                nl, tg, model, false, enable_xor, stats, seed, refuted, budget, net, ckpt,
-            )?;
+            let n2 = self.delay_round(ctx, false)?;
             total += n2;
             if n2 > 0 {
                 continue;
             }
-            if self.cfg.enable_sub3 && !budget.is_exhausted() {
-                let n3 = self.delay_round(
-                    nl, tg, model, true, enable_xor, stats, seed, refuted, budget, net, ckpt,
-                )?;
+            if self.cfg.enable_sub3 && !ctx.budget.is_exhausted() {
+                let n3 = self.delay_round(ctx, true)?;
                 total += n3;
                 if n3 > 0 {
                     continue;
@@ -557,21 +582,23 @@ impl<'a> Optimizer<'a> {
     /// One delay-phase simulate/rank/prove/apply round. `use_c3` selects
     /// `OS3`/`IS3` candidates (run after C2 candidates dry up, as in the
     /// paper, since C2 simulation is cheaper).
-    #[allow(clippy::too_many_arguments)]
     fn delay_round(
         &self,
-        nl: &mut Netlist,
-        tg: &mut TimingGraph,
-        model: &LibDelay<'_>,
+        ctx: &mut OptimizeContext<'_, '_>,
         use_c3: bool,
-        enable_xor: bool,
-        stats: &mut GdoStats,
-        seed: &mut u64,
-        refuted: &mut HashSet<Rewrite>,
-        budget: &Budget,
-        net: &mut SafetyNet,
-        ckpt: &mut Checkpointer,
     ) -> Result<usize, GdoError> {
+        let (model, budget, enable_xor) = (ctx.model, ctx.budget, ctx.enable_xor);
+        let OptimizeContext {
+            nl,
+            tg,
+            stats,
+            seed,
+            refuted,
+            witnesses,
+            net,
+            ckpt,
+            ..
+        } = ctx;
         if nl.outputs().is_empty() || nl.inputs().is_empty() {
             return Ok(0);
         }
@@ -630,10 +657,10 @@ impl<'a> Optimizer<'a> {
         };
         let t_cand = t0.elapsed();
 
-        *seed += 1;
+        **seed += 1;
         let t0 = std::time::Instant::now();
         let bpfs_span = telemetry::span("gdo.round.bpfs");
-        let vectors = VectorSet::random(nl.inputs().len(), self.cfg.vectors, *seed);
+        let vectors = VectorSet::random(nl.inputs().len(), self.cfg.vectors, **seed);
         let sim = simulate(nl, &vectors)?;
         let mut rounds = self.run_c2(nl, &sim, site_cands, budget)?;
         if use_c3 {
@@ -653,17 +680,7 @@ impl<'a> Optimizer<'a> {
                     triples
                 })
                 .collect();
-            let n_triples: u64 = requests.iter().map(|r| r.len() as u64).sum();
-            telemetry::counter_add("gdo.funnel.c3.enumerated", n_triples);
-            telemetry::counter_add("gdo.funnel.c3.filtered", n_triples);
-            run_c3_budgeted(
-                nl,
-                &sim,
-                &mut rounds,
-                requests,
-                self.cfg.threads,
-                Some(budget),
-            );
+            self.run_c3(nl, &sim, &mut rounds, requests, budget);
         }
         drop(bpfs_span);
         let t_bpfs = t0.elapsed();
@@ -764,23 +781,19 @@ impl<'a> Optimizer<'a> {
             proofs_here += 1;
             budget.charge(1);
             telemetry::counter_add(funnel_counter(&rw, FunnelStage::Proofs), 1);
-            if !prove_rewrite_with_budget(
-                nl,
-                self.lib,
-                &rw,
-                self.cfg.prover,
-                self.cfg.conflict_budget,
-                Some(budget),
-            )? {
-                if budget.is_exhausted() {
-                    // An interrupted proof is not a genuine refutation:
-                    // do not poison the cache with it.
-                    break;
+            let pool = (!self.cfg.legacy_eval).then_some(&mut **witnesses);
+            match self.prove(nl, &rw, budget, pool)? {
+                ProofOutcome::Valid => {}
+                // An interrupted proof is not a genuine refutation: do
+                // not poison the cache with it.
+                _ if budget.is_exhausted() => break,
+                ProofOutcome::Refuted(_) => {
+                    if !self.cfg.legacy_eval {
+                        refuted.insert(rw);
+                    }
+                    continue;
                 }
-                if !self.cfg.legacy_eval {
-                    refuted.insert(rw);
-                }
-                continue;
+                ProofOutcome::Unknown => continue,
             }
             stats.proofs_valid += 1;
             stats.engines[EngineId::Gdo.index()].proved += 1;
@@ -789,6 +802,8 @@ impl<'a> Optimizer<'a> {
             let delta = nl.take_delta();
             tg.update(nl, model, &delta);
             refuted.clear();
+            // Also covers the rollback below: no replay runs in between.
+            witnesses.netlist_changed();
             if net.check_after_apply(nl, tg, rewrite_class(&rw))? {
                 // Verification failed: everything since the last good
                 // checkpoint was rolled back and the class quarantined.
@@ -830,20 +845,19 @@ impl<'a> Optimizer<'a> {
     /// One area-phase batch: redundancy removal plus area-saving
     /// substitutions of non-critical gates, each verified not to degrade
     /// the circuit delay.
-    #[allow(clippy::too_many_arguments)]
-    fn area_round(
-        &self,
-        nl: &mut Netlist,
-        tg: &mut TimingGraph,
-        model: &LibDelay<'_>,
-        enable_xor: bool,
-        stats: &mut GdoStats,
-        seed: &mut u64,
-        refuted: &mut HashSet<Rewrite>,
-        budget: &Budget,
-        net: &mut SafetyNet,
-        ckpt: &mut Checkpointer,
-    ) -> Result<usize, GdoError> {
+    fn area_round(&self, ctx: &mut OptimizeContext<'_, '_>) -> Result<usize, GdoError> {
+        let (model, budget, enable_xor) = (ctx.model, ctx.budget, ctx.enable_xor);
+        let OptimizeContext {
+            nl,
+            tg,
+            stats,
+            seed,
+            refuted,
+            witnesses,
+            net,
+            ckpt,
+            ..
+        } = ctx;
         if nl.outputs().is_empty() || nl.inputs().is_empty() {
             return Ok(0);
         }
@@ -887,8 +901,8 @@ impl<'a> Optimizer<'a> {
         telemetry::counter_add("gdo.funnel.const.enumerated", site_cands.len() as u64);
         telemetry::counter_add("gdo.funnel.const.filtered", site_cands.len() as u64);
 
-        *seed += 1;
-        let vectors = VectorSet::random(nl.inputs().len(), self.cfg.vectors, *seed);
+        **seed += 1;
+        let vectors = VectorSet::random(nl.inputs().len(), self.cfg.vectors, **seed);
         let sim = simulate(nl, &vectors)?;
         let mut rounds = self.run_c2(nl, &sim, site_cands, budget)?;
         if self.cfg.enable_sub3 {
@@ -906,17 +920,7 @@ impl<'a> Optimizer<'a> {
                     triples
                 })
                 .collect();
-            let n_triples: u64 = requests.iter().map(|r| r.len() as u64).sum();
-            telemetry::counter_add("gdo.funnel.c3.enumerated", n_triples);
-            telemetry::counter_add("gdo.funnel.c3.filtered", n_triples);
-            run_c3_budgeted(
-                nl,
-                &sim,
-                &mut rounds,
-                requests,
-                self.cfg.threads,
-                Some(budget),
-            );
+            self.run_c3(nl, &sim, &mut rounds, requests, budget);
         }
 
         let mut pvccs: Vec<(f64, Rewrite)> = Vec::new();
@@ -981,24 +985,17 @@ impl<'a> Optimizer<'a> {
                 proofs_here += 1;
                 budget.charge(1);
                 telemetry::counter_add(funnel_counter(&rw, FunnelStage::Proofs), 1);
-                if !prove_rewrite_with_budget(
-                    nl,
-                    self.lib,
-                    &rw,
-                    self.cfg.prover,
-                    self.cfg.conflict_budget,
-                    Some(budget),
-                )? {
+                if !self.prove(nl, &rw, budget, None)?.is_valid() {
                     continue;
                 }
                 stats.proofs_valid += 1;
                 stats.engines[EngineId::Gdo.index()].proved += 1;
                 telemetry::counter_add(funnel_counter(&rw, FunnelStage::Proved), 1);
-                *nl = trial;
+                **nl = trial;
                 // The trial graph is already a fresh full analysis; just
                 // discard the journal entries the trial apply recorded.
                 let _ = nl.take_delta();
-                *tg = trial_tg;
+                **tg = trial_tg;
             } else {
                 // Trial-evaluate against the persistent graph FIRST
                 // (cheap): the substitution must not lengthen the critical
@@ -1027,19 +1024,14 @@ impl<'a> Optimizer<'a> {
                 proofs_here += 1;
                 budget.charge(1);
                 telemetry::counter_add(funnel_counter(&rw, FunnelStage::Proofs), 1);
-                if !prove_rewrite_with_budget(
-                    nl,
-                    self.lib,
-                    &rw,
-                    self.cfg.prover,
-                    self.cfg.conflict_budget,
-                    Some(budget),
-                )? {
-                    if budget.is_exhausted() {
-                        break;
+                match self.prove(nl, &rw, budget, Some(&mut **witnesses))? {
+                    ProofOutcome::Valid => {}
+                    _ if budget.is_exhausted() => break,
+                    ProofOutcome::Refuted(_) => {
+                        refuted.insert(rw);
+                        continue;
                     }
-                    refuted.insert(rw);
-                    continue;
+                    ProofOutcome::Unknown => continue,
                 }
                 stats.proofs_valid += 1;
                 stats.engines[EngineId::Gdo.index()].proved += 1;
@@ -1055,11 +1047,14 @@ impl<'a> Optimizer<'a> {
                 apply_rewrite(nl, self.lib, &rw, false)?;
                 let delta = nl.take_delta();
                 tg.update(nl, model, &delta);
+                // Also covers the revert and the rollback below: no
+                // replay runs in between.
+                witnesses.netlist_changed();
                 if tg.circuit_delay() > baseline_delay + tg.eps()
                     || total_area(nl, model) >= total_area(&backup, model)
                 {
-                    *nl = backup;
-                    *tg = backup_tg;
+                    **nl = backup;
+                    **tg = backup_tg;
                     continue;
                 }
             }
@@ -1100,6 +1095,8 @@ impl Engine for GdoEngine {
 
     fn run(&self, ctx: &mut OptimizeContext<'_, '_>) -> Result<usize, GdoError> {
         let opt = Optimizer::new(ctx.lib, ctx.cfg.clone());
+        // An engine that ran before this one may have edited the netlist.
+        ctx.witnesses.netlist_changed();
         let mut total = 0;
         for outer in ctx.resume_start()..opt.cfg.max_outer_rounds {
             if ctx.budget.is_exhausted() {
@@ -1111,36 +1108,14 @@ impl Engine for GdoEngine {
             let delay_applied = {
                 let _phase = telemetry::span("gdo.delay_phase");
                 ctx.budget.enter_phase(Phase::Delay);
-                opt.delay_phase(
-                    ctx.nl,
-                    ctx.tg,
-                    ctx.model,
-                    ctx.enable_xor,
-                    ctx.stats,
-                    ctx.seed,
-                    ctx.refuted,
-                    ctx.budget,
-                    ctx.net,
-                    ctx.ckpt,
-                )?
+                opt.delay_phase(ctx)?
             };
             let t_delay = t.elapsed();
             let t = std::time::Instant::now();
             let area_applied = if opt.cfg.area_phase && !ctx.budget.is_exhausted() {
                 let _phase = telemetry::span("gdo.area_phase");
                 ctx.budget.enter_phase(Phase::Area);
-                opt.area_round(
-                    ctx.nl,
-                    ctx.tg,
-                    ctx.model,
-                    ctx.enable_xor,
-                    ctx.stats,
-                    ctx.seed,
-                    ctx.refuted,
-                    ctx.budget,
-                    ctx.net,
-                    ctx.ckpt,
-                )?
+                opt.area_round(ctx)?
             } else {
                 0
             };

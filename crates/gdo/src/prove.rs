@@ -15,10 +15,11 @@
 //!   "ATPG ... enables the optimization of circuits for which BDD
 //!   representations become too large".
 
+use crate::replay::WitnessPool;
 use crate::{transform, Budget, GdoError, Rewrite};
 use library::Library;
 use netlist::Netlist;
-use sat::ClauseProver;
+use sat::{ClauseOutcome, ClauseProver};
 
 /// Which engine proves PVCC validity.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -34,6 +35,31 @@ pub enum ProverKind {
     },
     /// SAT miter equivalence of original vs. modified circuit.
     SatEquiv,
+}
+
+/// The answer of one rewrite proof.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum ProofOutcome {
+    /// Every clause of the rewrite's combination holds: the rewrite is
+    /// permissible.
+    Valid,
+    /// The rewrite is not permissible. Under [`ProverKind::SatClause`]
+    /// this carries the witness: a primary-input vector (in
+    /// `Netlist::inputs` order) under which the site is observable and
+    /// every literal of one clause is false. The equivalence provers
+    /// report no witness.
+    Refuted(Option<Vec<bool>>),
+    /// Neither: the SAT conflict budget ran out, or the run budget was
+    /// exhausted before or during the proof. Not a refutation.
+    Unknown,
+}
+
+impl ProofOutcome {
+    /// `true` for [`ProofOutcome::Valid`].
+    #[must_use]
+    pub fn is_valid(&self) -> bool {
+        *self == ProofOutcome::Valid
+    }
 }
 
 /// Proves whether `rw` is permissible on the current netlist, with the
@@ -66,15 +92,16 @@ pub fn prove_rewrite_budgeted(
     prover: ProverKind,
     conflict_budget: u64,
 ) -> Result<bool, GdoError> {
-    prove_rewrite_with_budget(nl, lib, rw, prover, conflict_budget, None)
+    Ok(prove_rewrite_with_budget(nl, lib, rw, prover, conflict_budget, None)?.is_valid())
 }
 
-/// Like [`prove_rewrite_budgeted`] under a run [`Budget`]: the proof is
-/// skipped outright when the budget is already exhausted, and the
-/// budget's interrupt flag and deadline reach into the SAT search so an
-/// in-flight query gives up at its next conflict. A proof abandoned for
-/// budget reasons counts as *not proven* (never cached as refuted by the
-/// optimizer) and bumps the `prove.budget_refuted` counter.
+/// Like [`prove_rewrite_budgeted`] under a run [`Budget`], reporting the
+/// full [`ProofOutcome`]: the proof is skipped outright when the budget
+/// is already exhausted, and the budget's interrupt flag and deadline
+/// reach into the SAT search so an in-flight query gives up at its next
+/// conflict. A proof abandoned for budget reasons is
+/// [`ProofOutcome::Unknown`] (never cached as refuted by the optimizer)
+/// and bumps the `prove.budget_refuted` counter.
 ///
 /// The BDD path is bounded by its own node limit; the budget is checked
 /// before the (bounded) BDD build, and its SAT fallback honours the
@@ -90,42 +117,54 @@ pub fn prove_rewrite_with_budget(
     prover: ProverKind,
     conflict_budget: u64,
     budget: Option<&Budget>,
-) -> Result<bool, GdoError> {
+) -> Result<ProofOutcome, GdoError> {
+    prove_rewrite_replayed(nl, lib, rw, prover, conflict_budget, budget, None)
+}
+
+/// [`prove_rewrite_with_budget`] with counterexample replay: under
+/// [`ProverKind::SatClause`], the witnesses in `pool` are simulated
+/// against the rewrite's clauses before any encoding is built, and every
+/// new SAT witness joins the pool. A replay refutation is an exact
+/// simulation of a real input vector, so it answers exactly when SAT
+/// would also have answered "not valid". The other provers ignore the
+/// pool.
+pub(crate) fn prove_rewrite_replayed(
+    nl: &Netlist,
+    lib: &Library,
+    rw: &Rewrite,
+    prover: ProverKind,
+    conflict_budget: u64,
+    budget: Option<&Budget>,
+    pool: Option<&mut WitnessPool>,
+) -> Result<ProofOutcome, GdoError> {
     let _span = telemetry::span("gdo.prove");
+    let outcome = prove_uncounted(nl, lib, rw, prover, conflict_budget, budget, pool)?;
+    count_outcome(&outcome);
+    Ok(outcome)
+}
+
+fn prove_uncounted(
+    nl: &Netlist,
+    lib: &Library,
+    rw: &Rewrite,
+    prover: ProverKind,
+    conflict_budget: u64,
+    budget: Option<&Budget>,
+    pool: Option<&mut WitnessPool>,
+) -> Result<ProofOutcome, GdoError> {
     if budget.is_some_and(Budget::is_exhausted) {
         telemetry::counter_add("prove.budget_refuted", 1);
-        return Ok(false);
+        return Ok(ProofOutcome::Unknown);
     }
     match prover {
-        ProverKind::SatClause => {
-            // Restrict the encoding to the support of the fault cone and
-            // the queried literals — cone-local proofs on large circuits.
-            let clauses = rw.clauses(nl);
-            let support: Vec<netlist::SignalId> = clauses
-                .iter()
-                .flat_map(|c| c.iter().map(|&(s, _)| s))
-                .collect();
-            let mut p = ClauseProver::with_support(nl, rw.site.fault(), &support)?;
-            p.set_conflict_budget(conflict_budget);
-            if let Some(b) = budget {
-                p.set_interrupt(b.interrupt_flag(), b.deadline());
-            }
-            let valid = clauses.iter().all(|clause| p.is_valid(clause));
-            record_sat_stats(p.stats());
-            if !valid && budget.is_some_and(Budget::is_exhausted) {
-                // The failure is (at least partly) the budget's doing:
-                // report it as skipped work, not as a refutation.
-                telemetry::counter_add("prove.budget_refuted", 1);
-            }
-            Ok(valid)
-        }
+        ProverKind::SatClause => prove_clauses(nl, rw, conflict_budget, budget, pool),
         ProverKind::BddEquiv { node_limit } => {
             let mut modified = nl.clone();
             transform::apply_rewrite(&mut modified, lib, rw, true)?;
             match bdd::check_equiv_stats(nl, &modified, node_limit) {
                 Ok((eq, bdd_stats)) => {
                     record_bdd_stats(bdd_stats);
-                    Ok(eq)
+                    Ok(equivalence_outcome(eq))
                 }
                 Err(bdd::CircuitBddError::Bdd(_)) => {
                     // Node budget exhausted: fall back to SAT, as the
@@ -134,7 +173,7 @@ pub fn prove_rewrite_with_budget(
                     let (eq, sat_stats) =
                         sat::check_equiv_stats(nl, &modified).map_err(equiv_to_gdo)?;
                     record_sat_stats(sat_stats);
-                    Ok(eq)
+                    Ok(equivalence_outcome(eq))
                 }
                 Err(bdd::CircuitBddError::Netlist(e)) => Err(GdoError::Netlist(e)),
                 Err(_) => unreachable!("modified copy keeps the interface"),
@@ -145,9 +184,82 @@ pub fn prove_rewrite_with_budget(
             transform::apply_rewrite(&mut modified, lib, rw, true)?;
             let (eq, sat_stats) = sat::check_equiv_stats(nl, &modified).map_err(equiv_to_gdo)?;
             record_sat_stats(sat_stats);
-            Ok(eq)
+            Ok(equivalence_outcome(eq))
         }
     }
+}
+
+/// The clause prover: replay the pool, then one SAT query per clause
+/// until one is not valid.
+fn prove_clauses(
+    nl: &Netlist,
+    rw: &Rewrite,
+    conflict_budget: u64,
+    budget: Option<&Budget>,
+    mut pool: Option<&mut WitnessPool>,
+) -> Result<ProofOutcome, GdoError> {
+    let clauses = rw.clauses(nl);
+    if let Some(pool) = pool.as_deref_mut() {
+        if let Some(witness) = pool.refute(nl, rw.site, &clauses)? {
+            telemetry::counter_add("prove.replay_refuted", 1);
+            return Ok(ProofOutcome::Refuted(Some(witness)));
+        }
+    }
+    // Restrict the encoding to the support of the fault cone and the
+    // queried literals — cone-local proofs on large circuits.
+    let support: Vec<netlist::SignalId> = clauses
+        .iter()
+        .flat_map(|c| c.iter().map(|&(s, _)| s))
+        .collect();
+    let mut p = ClauseProver::with_support(nl, rw.site.fault(), &support)?;
+    p.set_conflict_budget(conflict_budget);
+    if let Some(b) = budget {
+        p.set_interrupt(b.interrupt_flag(), b.deadline());
+    }
+    let outcome = clauses
+        .iter()
+        .map(|clause| p.check(clause))
+        .find(|o| *o != ClauseOutcome::Valid)
+        .unwrap_or(ClauseOutcome::Valid);
+    record_sat_stats(p.stats());
+    if outcome != ClauseOutcome::Valid && budget.is_some_and(Budget::is_exhausted) {
+        // The failure is (at least partly) the budget's doing: report it
+        // as skipped work, not as a refutation.
+        telemetry::counter_add("prove.budget_refuted", 1);
+    }
+    Ok(match outcome {
+        ClauseOutcome::Valid => ProofOutcome::Valid,
+        ClauseOutcome::Refuted(witness) => {
+            if let Some(pool) = pool {
+                pool.push(witness.clone());
+            }
+            ProofOutcome::Refuted(Some(witness))
+        }
+        ClauseOutcome::Unknown => ProofOutcome::Unknown,
+    })
+}
+
+/// The outcome of an equivalence check of the original against the
+/// rewritten circuit, which carries no witness.
+pub(crate) fn equivalence_outcome(eq: bool) -> ProofOutcome {
+    if eq {
+        ProofOutcome::Valid
+    } else {
+        ProofOutcome::Refuted(None)
+    }
+}
+
+/// Bumps the `prove.{valid,refuted,unknown}` counter of one proof; every
+/// proof the optimizer counts in `GdoStats::proofs` lands in exactly one.
+pub(crate) fn count_outcome(outcome: &ProofOutcome) {
+    telemetry::counter_add(
+        match outcome {
+            ProofOutcome::Valid => "prove.valid",
+            ProofOutcome::Refuted(_) => "prove.refuted",
+            ProofOutcome::Unknown => "prove.unknown",
+        },
+        1,
+    );
 }
 
 /// Accumulates one prove call's SAT search effort on the `sat.*`

@@ -43,6 +43,7 @@ use std::cmp::Ordering;
 use crate::budget::Phase;
 use crate::candidates::CandidateContext;
 use crate::engine::{netlists_equivalent, Engine, EngineId, OptimizeContext, RewriteClass};
+use crate::prove::{count_outcome, equivalence_outcome};
 use crate::transform::{pick, pick_or_err, realize_literal};
 use crate::GdoError;
 use library::Library;
@@ -297,7 +298,9 @@ fn try_target(
     // Signatures proposed; the miter decides.
     ctx.stats.proofs += 1;
     ctx.budget.charge(1);
-    if !netlists_equivalent(snapshot, ctx.nl)? {
+    let equivalent = netlists_equivalent(snapshot, ctx.nl)?;
+    count_outcome(&equivalence_outcome(equivalent));
+    if !equivalent {
         *ctx.nl = snapshot.clone();
         return Ok(TargetOutcome::NoChange);
     }

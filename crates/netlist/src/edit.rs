@@ -46,10 +46,8 @@ impl Netlist {
                 pin: branch.pin,
             },
         );
-        self.cells[branch.cell.index()]
-            .as_mut()
-            .expect("checked live")
-            .fanins[branch.pin as usize] = new_source;
+        let at = self.cell(branch.cell).pins().start;
+        self.pins[at + branch.pin as usize] = new_source;
         self.fanouts[new_source.index()].push(Fanout::Gate {
             cell: branch.cell,
             pin: branch.pin,
@@ -90,21 +88,19 @@ impl Netlist {
             });
         }
         let uses = std::mem::take(&mut self.fanouts[old.index()]);
-        for user in &uses {
-            match *user {
+        for &user in uses.iter() {
+            match user {
                 Fanout::Gate { cell, pin } => {
-                    self.cells[cell.index()]
-                        .as_mut()
-                        .expect("live consumer")
-                        .fanins[pin as usize] = new;
+                    let at = self.cell(cell).pins().start;
+                    self.pins[at + pin as usize] = new;
                     self.touch(cell);
                 }
                 Fanout::Po(index) => {
                     self.pos[index as usize].driver = new;
                 }
             }
+            self.fanouts[new.index()].push(user);
         }
-        self.fanouts[new.index()].extend(uses);
         self.touch(old);
         self.touch(new);
         Ok(())
@@ -134,9 +130,10 @@ impl Netlist {
         );
         let cell = self.cells[s.index()].take().expect("checked live");
         if let Some(name) = &cell.name {
-            self.by_name.remove(name);
+            std::sync::Arc::make_mut(&mut self.by_name).remove(name.as_str());
         }
-        for (pin, &f) in cell.fanins.iter().enumerate() {
+        for (pin, at) in cell.pins().enumerate() {
+            let f = self.pins[at];
             self.detach_fanout(
                 f,
                 Fanout::Gate {
@@ -170,7 +167,7 @@ impl Netlist {
             if self.kind(s).is_source() {
                 continue;
             }
-            let fanins = self.cell(s).fanins.clone();
+            let fanins = self.fanins(s).to_vec();
             self.delete_gate(s).expect("live dangling gate");
             removed += 1;
             for f in fanins {
@@ -193,7 +190,7 @@ impl Netlist {
     pub fn transitive_fanout(&self, s: SignalId) -> SignalSet {
         let mut seen = SignalSet::with_capacity(self.capacity());
         let mut stack: Vec<SignalId> = Vec::new();
-        for f in &self.fanouts[s.index()] {
+        for f in self.fanouts(s) {
             if let Fanout::Gate { cell, .. } = *f {
                 if seen.insert(cell) {
                     stack.push(cell);
@@ -201,7 +198,7 @@ impl Netlist {
             }
         }
         while let Some(t) = stack.pop() {
-            for f in &self.fanouts[t.index()] {
+            for f in self.fanouts(t) {
                 if let Fanout::Gate { cell, .. } = *f {
                     if seen.insert(cell) {
                         stack.push(cell);

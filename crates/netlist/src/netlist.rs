@@ -1,10 +1,12 @@
+use crate::cell::FanoutList;
 use crate::{Branch, Cell, EditDelta, Fanout, GateKind, NetlistError, SignalId};
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// A primary output: a named binding to a driving signal.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PrimaryOutput {
-    pub(crate) name: String,
+    pub(crate) name: Arc<str>,
     pub(crate) driver: SignalId,
 }
 
@@ -32,10 +34,14 @@ impl PrimaryOutput {
 pub struct Netlist {
     pub(crate) name: String,
     pub(crate) cells: Vec<Option<Cell>>,
-    pub(crate) fanouts: Vec<Vec<Fanout>>,
+    /// Every cell's fanins, back to back (see [`Cell::pins`]). A deleted
+    /// cell's entries stay behind unused.
+    pub(crate) pins: Vec<SignalId>,
+    pub(crate) fanouts: Vec<FanoutList>,
     pub(crate) pis: Vec<SignalId>,
     pub(crate) pos: Vec<PrimaryOutput>,
-    pub(crate) by_name: HashMap<String, SignalId>,
+    /// Shared between clones until one of them binds or drops a name.
+    pub(crate) by_name: Arc<HashMap<Arc<str>, SignalId>>,
     pub(crate) free: Vec<u32>,
     pub(crate) journal: Option<EditDelta>,
 }
@@ -55,7 +61,8 @@ impl std::fmt::Display for Netlist {
                     if cell.kind().is_source() && cell.kind() == GateKind::Input {
                         continue;
                     }
-                    let fanins: Vec<String> = cell.fanins().iter().map(|x| x.to_string()).collect();
+                    let fanins: Vec<String> =
+                        self.fanins(s).iter().map(|x| x.to_string()).collect();
                     write!(f, "  {s} = {}({})", cell.kind(), fanins.join(", "))?;
                     if let Some(name) = cell.name() {
                         write!(f, "  # {name}")?;
@@ -93,20 +100,42 @@ impl Netlist {
         self.name = name.into();
     }
 
-    fn alloc(&mut self, cell: Cell) -> SignalId {
+    /// Adds a cell of `kind` over `fanins` (appended to the pin table) in
+    /// a free slot, or a new one.
+    fn alloc(&mut self, kind: GateKind, fanins: &[SignalId]) -> SignalId {
+        let arity = u16::try_from(fanins.len()).expect("arity checked by the caller");
+        // Grow by an eighth rather than doubling: a netlist edited after
+        // cloning keeps little unused capacity.
+        if self.pins.capacity() - self.pins.len() < fanins.len() {
+            self.pins
+                .reserve_exact(fanins.len().max(self.pins.len() / 8 + 16));
+        }
+        let at = u32::try_from(self.pins.len()).expect("pin table overflows u32");
+        self.pins.extend_from_slice(fanins);
+        let cell = Some(Cell {
+            kind,
+            arity,
+            at,
+            lib: None,
+            name: None,
+        });
         let id = if let Some(slot) = self.free.pop() {
-            let id = SignalId::from_index(slot as usize);
-            self.cells[slot as usize] = Some(cell);
-            self.fanouts[slot as usize].clear();
-            id
+            self.cells[slot as usize] = cell;
+            self.fanouts[slot as usize] = FanoutList::default();
+            SignalId::from_index(slot as usize)
         } else {
-            let id = SignalId::from_index(self.cells.len());
-            self.cells.push(Some(cell));
-            self.fanouts.push(Vec::new());
-            id
+            self.cells.push(cell);
+            self.fanouts.push(FanoutList::default());
+            SignalId::from_index(self.cells.len() - 1)
         };
         self.touch(id);
         id
+    }
+
+    /// Names the live cell `id` and binds the name in the name index.
+    fn bind_name(&mut self, name: String, id: SignalId) {
+        Arc::make_mut(&mut self.by_name).insert(name.as_str().into(), id);
+        self.cells[id.index()].as_mut().expect("live cell").name = Some(Arc::new(name));
     }
 
     /// Starts (or restarts, clearing any pending delta) edit journaling:
@@ -170,16 +199,11 @@ impl Netlist {
     /// Returns [`NetlistError::DuplicateName`] if the name is already bound.
     pub fn try_add_input(&mut self, name: impl Into<String>) -> Result<SignalId, NetlistError> {
         let name = name.into();
-        if self.by_name.contains_key(&name) {
+        if self.by_name.contains_key(name.as_str()) {
             return Err(NetlistError::DuplicateName(name));
         }
-        let id = self.alloc(Cell {
-            kind: GateKind::Input,
-            fanins: Vec::new(),
-            lib: None,
-            name: Some(name.clone()),
-        });
-        self.by_name.insert(name, id);
+        let id = self.alloc(GateKind::Input, &[]);
+        self.bind_name(name, id);
         self.pis.push(id);
         Ok(id)
     }
@@ -197,7 +221,7 @@ impl Netlist {
         kind: GateKind,
         fanins: &[SignalId],
     ) -> Result<SignalId, NetlistError> {
-        if !kind.arity().accepts(fanins.len()) {
+        if !kind.arity().accepts(fanins.len()) || u16::try_from(fanins.len()).is_err() {
             return Err(NetlistError::ArityMismatch {
                 kind: kind.mnemonic(),
                 got: fanins.len(),
@@ -208,12 +232,7 @@ impl Netlist {
                 return Err(NetlistError::DeadSignal(f));
             }
         }
-        let id = self.alloc(Cell {
-            kind,
-            fanins: fanins.to_vec(),
-            lib: None,
-            name: None,
-        });
+        let id = self.alloc(kind, fanins);
         for (pin, &f) in fanins.iter().enumerate() {
             self.fanouts[f.index()].push(Fanout::Gate {
                 cell: id,
@@ -238,12 +257,11 @@ impl Netlist {
         fanins: &[SignalId],
     ) -> Result<SignalId, NetlistError> {
         let name = name.into();
-        if self.by_name.contains_key(&name) {
+        if self.by_name.contains_key(name.as_str()) {
             return Err(NetlistError::DuplicateName(name));
         }
         let id = self.add_gate(kind, fanins)?;
-        self.cells[id.index()].as_mut().expect("just added").name = Some(name.clone());
-        self.by_name.insert(name, id);
+        self.bind_name(name, id);
         Ok(id)
     }
 
@@ -252,7 +270,7 @@ impl Netlist {
     pub fn add_output(&mut self, name: impl Into<String>, driver: SignalId) -> usize {
         let index = self.pos.len();
         self.pos.push(PrimaryOutput {
-            name: name.into(),
+            name: name.into().into(),
             driver,
         });
         self.fanouts[driver.index()].push(Fanout::Po(index as u32));
@@ -278,12 +296,7 @@ impl Netlist {
                 }
             }
         }
-        self.alloc(Cell {
-            kind,
-            fanins: Vec::new(),
-            lib: None,
-            name: None,
-        })
+        self.alloc(kind, &[])
     }
 
     /// Returns `true` if the signal exists and has not been deleted.
@@ -321,10 +334,14 @@ impl Netlist {
         self.cell(s).kind
     }
 
-    /// Shorthand for `self.cell(s).fanins()`.
+    /// The input signals of `s`, in pin order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `s` is dead.
     #[must_use]
     pub fn fanins(&self, s: SignalId) -> &[SignalId] {
-        &self.cell(s).fanins
+        &self.pins[self.cell(s).pins()]
     }
 
     /// The fanout connections of stem `s` (gate pins and primary outputs).
@@ -347,7 +364,7 @@ impl Netlist {
     /// the branch does not identify a live connection.
     pub fn branch_source(&self, branch: Branch) -> Result<SignalId, NetlistError> {
         let cell = self.try_cell(branch.cell)?;
-        cell.fanins
+        self.pins[cell.pins()]
             .get(branch.pin as usize)
             .copied()
             .ok_or(NetlistError::PinOutOfRange {
@@ -445,7 +462,7 @@ impl Netlist {
     #[must_use]
     pub fn unique_names(&self, prefix: &str) -> Vec<String> {
         let used: std::collections::HashSet<&str> =
-            self.by_name.keys().map(String::as_str).collect();
+            self.by_name.keys().map(AsRef::as_ref).collect();
         let mut out = vec![String::new(); self.capacity()];
         // Owned uniquified synthetics (kept separate so `used` can borrow
         // from by_name).

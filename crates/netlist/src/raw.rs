@@ -14,12 +14,13 @@
 //! taken at a journal-drained boundary, and the resumed run re-arms
 //! recording itself.
 
-use crate::cell::{Cell, Fanout};
+use crate::cell::{Cell, Fanout, FanoutList};
 use crate::id::SignalId;
 use crate::kind::GateKind;
 use crate::netlist::{Netlist, PrimaryOutput};
 use crate::NetlistError;
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// One cell slot in index order: `None` for a dead (freed) slot.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -82,9 +83,12 @@ impl Netlist {
                 .map(|slot| {
                     slot.as_ref().map(|c| RawCell {
                         kind: c.kind,
-                        fanins: c.fanins.iter().map(|s| s.index() as u32).collect(),
+                        fanins: self.pins[c.pins()]
+                            .iter()
+                            .map(|s| s.index() as u32)
+                            .collect(),
                         lib: c.lib,
-                        name: c.name.clone(),
+                        name: c.name().map(str::to_string),
                     })
                 })
                 .collect(),
@@ -107,7 +111,7 @@ impl Netlist {
             pos: self
                 .pos
                 .iter()
-                .map(|po| (po.name.clone(), po.driver.index() as u32))
+                .map(|po| (po.name().to_string(), po.driver.index() as u32))
                 .collect(),
             free: self.free.clone(),
         }
@@ -136,29 +140,36 @@ impl Netlist {
             )));
         }
         let mut cells: Vec<Option<Cell>> = Vec::with_capacity(n);
-        let mut by_name: HashMap<String, SignalId> = HashMap::new();
+        let mut pins: Vec<SignalId> = Vec::new();
+        let mut by_name: HashMap<Arc<str>, SignalId> = HashMap::new();
         for (i, slot) in raw.cells.iter().enumerate() {
             match slot {
                 None => cells.push(None),
                 Some(rc) => {
-                    let fanins = rc
-                        .fanins
-                        .iter()
-                        .map(|&f| sig(f))
-                        .collect::<Result<Vec<_>, _>>()?;
+                    let at = u32::try_from(pins.len()).expect("pin table overflows u32");
+                    let arity = u16::try_from(rc.fanins.len()).map_err(|_| {
+                        NetlistError::ArityMismatch {
+                            kind: rc.kind.mnemonic(),
+                            got: rc.fanins.len(),
+                        }
+                    })?;
+                    for &f in &rc.fanins {
+                        pins.push(sig(f)?);
+                    }
                     if let Some(name) = &rc.name {
-                        by_name.insert(name.clone(), SignalId::from_index(i));
+                        by_name.insert(name.as_str().into(), SignalId::from_index(i));
                     }
                     cells.push(Some(Cell {
                         kind: rc.kind,
-                        fanins,
+                        arity,
+                        at,
                         lib: rc.lib,
-                        name: rc.name.clone(),
+                        name: rc.name.clone().map(Arc::new),
                     }));
                 }
             }
         }
-        let mut fanouts: Vec<Vec<Fanout>> = Vec::with_capacity(n);
+        let mut fanouts: Vec<FanoutList> = Vec::with_capacity(n);
         for list in &raw.fanouts {
             let mut out = Vec::with_capacity(list.len());
             for f in list {
@@ -170,7 +181,7 @@ impl Netlist {
                     RawFanout::Po(i) => Fanout::Po(*i),
                 });
             }
-            fanouts.push(out);
+            fanouts.push(out.into());
         }
         let pis = raw
             .pis
@@ -182,7 +193,7 @@ impl Netlist {
             .iter()
             .map(|(name, driver)| {
                 Ok(PrimaryOutput {
-                    name: name.clone(),
+                    name: name.as_str().into(),
                     driver: sig(*driver)?,
                 })
             })
@@ -193,10 +204,11 @@ impl Netlist {
         Ok(Netlist {
             name: raw.name.clone(),
             cells,
+            pins,
             fanouts,
             pis,
             pos,
-            by_name,
+            by_name: Arc::new(by_name),
             free: raw.free.clone(),
             journal: None,
         })

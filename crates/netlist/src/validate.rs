@@ -1,6 +1,6 @@
 //! Whole-netlist integrity checking.
 
-use crate::{Fanout, Netlist, SignalId};
+use crate::{Branch, Fanout, Netlist, SignalId};
 use std::fmt;
 
 /// An invariant violation discovered by [`Netlist::validate`].
@@ -75,11 +75,10 @@ impl Netlist {
     /// The first violation found, as a [`ValidateError`].
     pub fn validate(&self) -> Result<(), ValidateError> {
         for s in self.signals() {
-            let cell = self.cell(s);
-            if !cell.kind().arity().accepts(cell.fanins().len()) {
+            if !self.kind(s).arity().accepts(self.fanins(s).len()) {
                 return Err(ValidateError::BadArity(s));
             }
-            for &f in cell.fanins() {
+            for &f in self.fanins(s) {
                 if !self.is_live(f) {
                     return Err(ValidateError::DeadFanin { cell: s, fanin: f });
                 }
@@ -90,11 +89,7 @@ impl Netlist {
             for fo in self.fanouts(s) {
                 match *fo {
                     Fanout::Gate { cell, pin } => {
-                        let ok = self
-                            .try_cell(cell)
-                            .ok()
-                            .and_then(|c| c.fanins().get(pin as usize))
-                            .is_some_and(|&src| src == s);
+                        let ok = self.branch_source(Branch { cell, pin }) == Ok(s);
                         if !ok {
                             return Err(ValidateError::FanoutMismatch(s));
                         }
@@ -113,7 +108,7 @@ impl Netlist {
         }
         // Backward check: every use appears exactly once in a fanout table.
         for s in self.signals() {
-            for (pin, &f) in self.cell(s).fanins().iter().enumerate() {
+            for (pin, &f) in self.fanins(s).iter().enumerate() {
                 let expected = Fanout::Gate {
                     cell: s,
                     pin: pin as u32,
@@ -134,13 +129,13 @@ impl Netlist {
                 members: self.cycle_members(),
             });
         }
-        for (name, &s) in &self.by_name {
+        for (name, &s) in self.by_name.iter() {
             let ok = self
                 .try_cell(s)
                 .ok()
-                .is_some_and(|c| c.name() == Some(name.as_str()));
+                .is_some_and(|c| c.name() == Some(name.as_ref()));
             if !ok {
-                return Err(ValidateError::NameTable(name.clone()));
+                return Err(ValidateError::NameTable(name.to_string()));
             }
         }
         Ok(())
@@ -229,9 +224,13 @@ mod tests {
         // forge one through the internals — the situation `validate`
         // exists to diagnose. Keep the fanout tables consistent so the
         // cycle check is what fires: g1 -> g2 -> g1.
-        nl.cells[g1.index()].as_mut().unwrap().fanins[0] = g2;
-        nl.fanouts[a.index()]
-            .retain(|fo| !matches!(fo, Fanout::Gate { cell, pin: 0 } if *cell == g1));
+        let at = nl.cell(g1).pins().start;
+        nl.pins[at] = g2;
+        let pos = nl.fanouts[a.index()]
+            .iter()
+            .position(|&fo| fo == Fanout::Gate { cell: g1, pin: 0 })
+            .unwrap();
+        nl.fanouts[a.index()].swap_remove(pos);
         nl.fanouts[g2.index()].push(Fanout::Gate { cell: g1, pin: 0 });
         match nl.validate() {
             Err(ValidateError::Cycle { members }) => {

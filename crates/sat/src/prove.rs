@@ -65,7 +65,24 @@ impl From<Branch> for FaultSite {
 pub struct ClauseProver {
     enc: CircuitCnf,
     obs: Lit,
+    /// Variables of the primary inputs, in `Netlist::inputs` order.
+    inputs: Vec<Var>,
     conflict_budget: u64,
+}
+
+/// The answer to one clause query of a [`ClauseProver`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum ClauseOutcome {
+    /// No input vector makes the site observable with every literal
+    /// false: the clause holds.
+    Valid,
+    /// A counterexample: one value per primary input, in
+    /// `Netlist::inputs` order, under which the site is observable and
+    /// every literal is false.
+    Refuted(Vec<bool>),
+    /// The conflict budget ran out, or an interrupt or deadline stopped
+    /// the search, before either answer.
+    Unknown,
 }
 
 impl ClauseProver {
@@ -142,7 +159,7 @@ impl ClauseProver {
         };
         // Collect the cone: gates whose faulty value can differ.
         let mut faulty: HashMap<SignalId, Var> = HashMap::new();
-        let seed_cells: Vec<SignalId> = match site {
+        match site {
             FaultSite::Stem(a) => {
                 if !nl.is_live(a) {
                     return Err(NetlistError::DeadSignal(a));
@@ -153,7 +170,6 @@ impl ClauseProver {
                 enc.solver_mut().add_clause(&[Lit::pos(fa), Lit::pos(av)]);
                 enc.solver_mut().add_clause(&[Lit::neg(fa), Lit::neg(av)]);
                 faulty.insert(a, fa);
-                Vec::new()
             }
             FaultSite::Branch(branch) => {
                 let src = nl.branch_source(branch)?;
@@ -178,10 +194,8 @@ impl ClauseProver {
                     .collect();
                 enc.encode_function(fc, nl.kind(c), &ins);
                 faulty.insert(c, fc);
-                vec![c]
             }
-        };
-        let _ = seed_cells;
+        }
 
         // Propagate the fault through the cone in topological order.
         let order = nl.topo_order()?;
@@ -206,16 +220,12 @@ impl ClauseProver {
         // O_a: some primary output differs between good and faulty copies.
         let mut diffs: Vec<Lit> = Vec::new();
         for po in nl.outputs() {
+            // A PO driven by the stem itself also counts: `a` drives it
+            // through its faulty var.
             let d = po.driver();
-            let in_cone = match site {
-                // For a stem fault, the PO itself seeing `a` directly also
-                // counts (a drives the PO through its faulty var).
-                FaultSite::Stem(_) | FaultSite::Branch(_) => faulty.contains_key(&d),
-            };
-            if in_cone {
+            if let Some(&fv) = faulty.get(&d) {
                 let diff = enc.new_aux();
                 let gv = enc.var(d);
-                let fv = faulty[&d];
                 crate::encode::encode_xor2(enc.solver_mut(), diff, gv, fv);
                 diffs.push(Lit::pos(diff));
             }
@@ -228,24 +238,27 @@ impl ClauseProver {
         for &d in &diffs {
             enc.solver_mut().add_clause(&[!d, obs]);
         }
+        let inputs = nl.inputs().iter().map(|&pi| enc.var(pi)).collect();
         Ok(ClauseProver {
             enc,
             obs,
+            inputs,
             conflict_budget: 100_000,
         })
     }
 
-    /// Caps the SAT effort per query. Queries exceeding the budget count
-    /// as *not proven valid* — losing an optimization opportunity but
-    /// bounding time and memory on adversarial cones (e.g. multipliers).
-    /// The default budget is 100 000 conflicts.
+    /// Caps the SAT effort per query. Queries exceeding the budget answer
+    /// [`ClauseOutcome::Unknown`], which counts as *not proven valid* —
+    /// losing an optimization opportunity but bounding time and memory
+    /// on adversarial cones (e.g. multipliers). The default budget is
+    /// 100 000 conflicts.
     pub fn set_conflict_budget(&mut self, conflicts: u64) {
         self.conflict_budget = conflicts;
     }
 
     /// Wires a run-level interrupt into the underlying solver: when
     /// `flag` is raised (or `deadline` passes mid-search), the active
-    /// query gives up and counts as *not proven valid* — the cooperative
+    /// query gives up with [`ClauseOutcome::Unknown`] — the cooperative
     /// cancellation point inside a SAT search. See
     /// [`Solver::set_interrupt`](crate::Solver::set_interrupt).
     pub fn set_interrupt(
@@ -260,12 +273,17 @@ impl ClauseProver {
         }
     }
 
-    /// Decides whether the clause `(!O_a + lits...)` is valid, where each
-    /// entry `(s, positive)` contributes the literal `s` or `!s`.
+    /// Decides the clause `(!O_a + lits...)`, where each entry
+    /// `(s, positive)` contributes the literal `s` or `!s`.
     ///
-    /// Returns `true` iff no input vector makes the site observable with
-    /// all listed literals false.
-    pub fn is_valid(&mut self, lits: &[(SignalId, bool)]) -> bool {
+    /// Runs one conflict-limited search for an input vector that makes
+    /// the site observable with all listed literals false.
+    /// [`ClauseOutcome::Refuted`] carries that vector, one value per
+    /// primary input in `Netlist::inputs` order. Under a
+    /// [`with_support`](Self::with_support) encoding, inputs outside the
+    /// encoded region take arbitrary values: nothing encoded depends on
+    /// them, so the vector is a real counterexample whatever they are.
+    pub fn check(&mut self, lits: &[(SignalId, bool)]) -> ClauseOutcome {
         let mut assumptions = vec![self.obs];
         for &(s, positive) in lits {
             // The literal must be FALSE in a counterexample.
@@ -273,30 +291,17 @@ impl ClauseProver {
         }
         let budget = self.conflict_budget;
         match self.enc.solver_mut().solve_limited(&assumptions, budget) {
-            Some(SatResult::Sat(_)) => false,
-            Some(SatResult::Unsat) => true,
-            // Budget exhausted: conservatively not proven valid.
-            None => false,
+            Some(SatResult::Sat(model)) => {
+                ClauseOutcome::Refuted(self.inputs.iter().map(|&v| model.var_value(v)).collect())
+            }
+            Some(SatResult::Unsat) => ClauseOutcome::Valid,
+            None => ClauseOutcome::Unknown,
         }
     }
 
-    /// Like [`is_valid`](Self::is_valid) but returns the counterexample
-    /// input assignment when the clause is invalid (useful for debugging
-    /// and for cross-checking the simulator).
-    pub fn counterexample(&mut self, nl: &Netlist, lits: &[(SignalId, bool)]) -> Option<Vec<bool>> {
-        let mut assumptions = vec![self.obs];
-        for &(s, positive) in lits {
-            assumptions.push(self.enc.lit(s, !positive));
-        }
-        match self.enc.solver_mut().solve(&assumptions) {
-            SatResult::Sat(model) => Some(
-                nl.inputs()
-                    .iter()
-                    .map(|&pi| model.var_value(self.enc.var(pi)))
-                    .collect(),
-            ),
-            SatResult::Unsat => None,
-        }
+    /// Returns `true` iff [`check`](Self::check) proves the clause valid.
+    pub fn is_valid(&mut self, lits: &[(SignalId, bool)]) -> bool {
+        self.check(lits) == ClauseOutcome::Valid
     }
 
     /// Total solver conflicts so far (cost metric).
@@ -361,10 +366,25 @@ mod tests {
         let mut p = ClauseProver::new(&nl, a.into()).unwrap();
         // (!O_a + !b) is invalid: a observable forces b=1, so !b never
         // rescues the clause.
-        let cex = p.counterexample(&nl, &[(b, false)]).unwrap();
+        let ClauseOutcome::Refuted(cex) = p.check(&[(b, false)]) else {
+            panic!("clause must be refuted");
+        };
         // In the witness, b must be 1 (observability) — the literal !b is
         // false, and a must be observable.
         assert!(cex[1], "witness must set b so a is observable");
+        assert_eq!(p.check(&[(b, true)]), ClauseOutcome::Valid);
+    }
+
+    #[test]
+    fn exhausted_budget_is_unknown_not_refuted() {
+        let (nl, [a, _b, _c, _d, _e, _f]) = fig1();
+        let mut p = ClauseProver::new(&nl, a.into()).unwrap();
+        p.set_interrupt(
+            std::sync::Arc::new(std::sync::atomic::AtomicBool::new(true)),
+            None,
+        );
+        assert_eq!(p.check(&[(a, true)]), ClauseOutcome::Unknown);
+        assert!(!p.is_valid(&[(a, true)]));
     }
 
     #[test]

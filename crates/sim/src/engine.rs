@@ -256,10 +256,10 @@ impl<'a> ObservabilityEngine<'a> {
         self.obs.fill(0);
 
         let c = branch.cell;
-        let src = self
-            .nl
-            .branch_source(branch)
-            .expect("branch must reference a live connection");
+        assert!(
+            (branch.pin as usize) < self.nl.fanins(c).len(),
+            "branch must reference a live connection"
+        );
         // Seed: re-evaluate the consuming gate with the pin inverted.
         let kind = self.nl.kind(c);
         self.stamp[c.index()] = stamp;
@@ -275,7 +275,6 @@ impl<'a> ObservabilityEngine<'a> {
             }
             self.alt[c.index() * nw + w] = kind.eval_words(&fanin_buf);
         }
-        let _ = src;
         self.propagate_and_compare(c, stamp)
     }
 

@@ -85,13 +85,43 @@ impl VectorSet {
     /// witness vector, e.g. a SAT counterexample, through the simulator.
     #[must_use]
     pub fn from_single(assignment: &[bool]) -> Self {
-        let words = assignment
-            .iter()
-            .map(|&b| if b { !0u64 } else { 0 })
-            .collect();
+        Self::from_rows(assignment.len(), &[assignment])
+    }
+
+    /// Packs explicit vectors 64 per word: row `v` (one value per input)
+    /// becomes vector `v`. The lanes past the last row repeat the last
+    /// row, so every simulated lane is one of the given vectors (with no
+    /// rows at all, the single word holds the all-zero vector).
+    ///
+    /// # Panics
+    ///
+    /// Panics if a row's length is not `n_inputs`.
+    ///
+    /// # Example
+    ///
+    /// ```
+    /// let v = sim::VectorSet::from_rows(2, &[[true, false], [false, true]]);
+    /// assert_eq!(v.n_words(), 1);
+    /// assert!(v.bit(0, 0) && !v.bit(1, 0));
+    /// assert!(!v.bit(0, 1) && v.bit(1, 1));
+    /// assert!(!v.bit(0, 63) && v.bit(1, 63));
+    /// ```
+    #[must_use]
+    pub fn from_rows<R: AsRef<[bool]>>(n_inputs: usize, rows: &[R]) -> Self {
+        let n_words = rows.len().div_ceil(64).max(1);
+        let mut words = vec![0u64; n_inputs * n_words];
+        if let Some(last) = rows.last() {
+            for v in 0..n_words * 64 {
+                let row = rows.get(v).unwrap_or(last).as_ref();
+                assert_eq!(row.len(), n_inputs, "vector {v} has the wrong width");
+                for (i, &bit) in row.iter().enumerate() {
+                    words[i * n_words + v / 64] |= u64::from(bit) << (v % 64);
+                }
+            }
+        }
         VectorSet {
-            n_inputs: assignment.len(),
-            n_words: 1,
+            n_inputs,
+            n_words,
             words,
         }
     }
@@ -188,6 +218,25 @@ mod tests {
             assert!(!v.bit(1, lane));
             assert!(v.bit(2, lane));
         }
+    }
+
+    #[test]
+    fn from_rows_packs_64_per_word_and_pads_with_the_last_row() {
+        let rows: Vec<Vec<bool>> = (0..70).map(|v| vec![v % 2 == 1, v % 3 == 0]).collect();
+        let set = VectorSet::from_rows(2, &rows);
+        assert_eq!(set.n_words(), 2);
+        for (v, row) in rows.iter().enumerate() {
+            assert_eq!(set.bit(0, v), row[0], "vector {v}");
+            assert_eq!(set.bit(1, v), row[1], "vector {v}");
+        }
+        for lane in 70..128 {
+            assert_eq!(set.bit(0, lane), rows[69][0]);
+            assert_eq!(set.bit(1, lane), rows[69][1]);
+        }
+        assert_eq!(
+            VectorSet::from_rows::<Vec<bool>>(3, &[]),
+            VectorSet::from_single(&[false; 3])
+        );
     }
 
     #[test]
